@@ -264,12 +264,11 @@ pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy 
         "workload {} has no stochastic pairs to measure",
         workload.label
     );
-    // Compiled strategies and interned pair tables are built once, outside
-    // every timed region: the engines amortise both through the
-    // per-generation interner (repeated pairings share one `Arc`d table),
-    // so neither belongs to the per-game cost of either rung. The timed
-    // regions compare like with like — per-pair stream derivation plus the
-    // kernel itself.
+    // Compiled strategies and pair tables are built once, outside every
+    // timed region, so neither belongs to the per-game cost of either rung
+    // (the engines compile each distinct strategy once per generation
+    // through the interner). The timed regions compare like with like —
+    // per-pair stream derivation plus the kernel itself.
     let compiled: Vec<Option<CompiledStrategy>> = grouping
         .group_rep
         .iter()

@@ -230,6 +230,9 @@ impl SupervisedExecutor {
         let mut resume: Option<SimulationState> = None;
         let mut backoff_ms = self.supervisor.backoff_base_ms;
 
+        // Fault counters are read in this run's domain only: a plan armed for
+        // another world in the same process must not show up in its stats.
+        let domain = self.supervisor.fault_domain;
         for attempt in 0..max_attempts {
             stats.attempts = attempt + 1;
             let resume_generation = resume.as_ref().map_or(0, |s| s.generation);
@@ -247,8 +250,8 @@ impl SupervisedExecutor {
             let world = SimWorld::new(ranks)?
                 .workers(dist.pool_threads)
                 .epoch(u64::from(attempt))
-                .fault_domain(self.supervisor.fault_domain);
-            let fired_mark = egd_fault::fired_count();
+                .fault_domain(domain);
+            let fired_mark = egd_fault::injection_report_in(domain).fired.len();
 
             let body_config = Arc::clone(&sim_config);
             let outcome = world.run_detailed(move |comm| {
@@ -265,7 +268,7 @@ impl SupervisedExecutor {
                     for rank in 0..ranks {
                         stats.checkpoints_saved += self.store.generations(rank)?.len() as u64;
                     }
-                    let report = egd_fault::injection_report();
+                    let report = egd_fault::injection_report_in(domain);
                     stats.faults_injected = report.fired.len() as u64;
                     stats.crashes_injected = report.crashes;
                     stats.drops_injected = report.drops;
@@ -286,7 +289,7 @@ impl SupervisedExecutor {
                     // snapshot reaches the summary.)
                     let _ = egd_sched::take_last_run_stats();
 
-                    let fired = egd_fault::fired_events();
+                    let fired = egd_fault::injection_report_in(domain).fired;
                     let fired_since: &[FiredFault] = fired.get(fired_mark..).unwrap_or(&[]);
                     if fired_since.is_empty() {
                         // Nothing was injected during this attempt: the
@@ -561,5 +564,46 @@ mod tests {
         assert!(report.contains("failed after 2 attempt(s)"), "{report}");
         assert!(report.contains("0: "), "{report}");
         assert!(report.contains("… and 4 more"), "{report}");
+    }
+
+    #[test]
+    fn fault_free_run_ignores_faults_fired_in_another_domain() {
+        // Domain 7's plan fires a crash before the supervised run starts;
+        // the run lives in domain 0 and must not count it.
+        let _session = egd_fault::arm(egd_fault::FaultPlan::new(7).with(
+            FaultEvent::CrashAtGeneration {
+                rank: 0,
+                generation: 0,
+            },
+        ));
+        assert_eq!(egd_fault::crash_fault(7, 0, 0), Some(0));
+        let cfg = SimulationConfig::builder()
+            .num_ssets(8)
+            .agents_per_sset(2)
+            .rounds_per_game(10)
+            .generations(4)
+            .seed(5)
+            .build()
+            .unwrap();
+        let run = SupervisedExecutor::new(
+            cfg,
+            crate::executor::DistributedConfig::with_workers(2),
+            SupervisorConfig::default(),
+        )
+        .unwrap()
+        .run()
+        .unwrap();
+        let r = run.recovery;
+        assert_eq!(r.attempts, 1);
+        assert_eq!(
+            (
+                r.faults_injected,
+                r.crashes_injected,
+                r.drops_injected,
+                r.delays_injected,
+                r.slow_ranks_injected,
+            ),
+            (0, 0, 0, 0, 0)
+        );
     }
 }

@@ -279,7 +279,7 @@ impl WorldShared {
         if packet.epoch != self.epoch {
             // A straggler from a pre-recovery attempt: reject at the door so
             // a replayed collective epoch never consumes a stale payload.
-            egd_fault::note_stale_rejected();
+            egd_fault::note_stale_rejected(self.fault_domain);
             return Ok(());
         }
         // Every delivery is one tick of virtual network time: age held

@@ -220,9 +220,12 @@ pub fn run_tasks_observed<R: Send, F: Fn(&[usize]) + Sync>(
     let results_ref = &results;
     let wakers_ref = &wakers;
     let on_stall_ref = &on_stall;
+    // Workers join the caller's trace session (see `egd_obs::TraceSession`).
+    let session = egd_obs::TraceSession::current();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
+            scope.spawn(move || {
+                session.enter();
                 worker_loop(
                     exec_ref,
                     slots_ref,

@@ -1,12 +1,11 @@
 //! Shared skew and load-balance arithmetic.
 //!
-//! Before this layer existed, `WorkPlan::static_skew`, the benchmark
-//! harnesses and the scheduler's replay each re-derived their own
-//! max-over-mean imbalance from per-chunk weight sums. These helpers are the
-//! single home for that math; every consumer reduces to
-//! [`egd_sched::max_over_mean`], so "imbalance" means the same number
-//! everywhere (1.0 = perfectly balanced, `workers` = one worker did
-//! everything).
+//! Before this layer existed, the benchmark harnesses and the scheduler's
+//! replay each re-derived their own max-over-mean imbalance from per-chunk
+//! weight sums. These helpers are the single home for that math; every
+//! consumer reduces to [`egd_sched::max_over_mean`], so "imbalance" means
+//! the same number everywhere (1.0 = perfectly balanced, `workers` = one
+//! worker did everything).
 
 use egd_sched::weighted_ranges;
 use std::ops::Range;

@@ -9,8 +9,8 @@
 //! ## The two-level partitioning contract
 //!
 //! 1. **Cost-proportional initial partition.** Work (pair-matrix cells,
-//!    agent work items, distributed rank tasks) is priced by the
-//!    [`CostModel`] ([`predict`]) and split across workers at cost quantiles
+//!    distributed rank tasks) is priced by the [`CostModel`] ([`predict`])
+//!    and split across workers at cost quantiles
 //!    ([`egd_sched::weighted_ranges`]), so every worker *starts* with the
 //!    same predicted load even when the population is heavily skewed.
 //! 2. **Adaptive steal correction.** The `egd-sched` work-stealing loop

@@ -15,7 +15,7 @@
 use crate::model::CostModel;
 use egd_core::game::IpdGame;
 use egd_core::strategy::StrategyKind;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Predicted cost (ns) of one pair payoff between `a` and `b` under `game`:
 /// cache-probe cheap when the pairing is deterministic (pure vs pure,
@@ -51,99 +51,6 @@ pub fn cell_weights(
                 &strategies[gi],
                 &strategies[hj],
             ));
-        }
-    }
-    weights
-}
-
-/// Exponentially-weighted moving average of *measured* per-cell costs,
-/// keyed by the `(fingerprint_a, fingerprint_b)` pair identity the engines'
-/// measured-cost tables use. The first concrete rung of the ROADMAP's
-/// "online cost-model refinement" item: observed means from previous
-/// generations seed the stochastic row prices, so partitions tighten as the
-/// population converges (the same pairings recur) instead of forever
-/// trusting the static analytic model.
-///
-/// Predictions steer only the schedule — results flow through the
-/// deterministic index-ordered reduction, so repricing can never change a
-/// fitness bit.
-#[derive(Debug, Clone)]
-pub struct MeasuredEwma {
-    alpha: f64,
-    cells: HashMap<(u64, u64), f64>,
-}
-
-impl MeasuredEwma {
-    /// Creates an empty table with smoothing factor `alpha` (clamped into
-    /// `(0, 1]`; `1.0` means "trust the latest observation completely").
-    pub fn new(alpha: f64) -> Self {
-        MeasuredEwma {
-            alpha: if alpha.is_finite() {
-                alpha.clamp(f64::EPSILON, 1.0)
-            } else {
-                1.0
-            },
-            cells: HashMap::new(),
-        }
-    }
-
-    /// Folds one observed mean (ns) for the `(a, b)` cell into the average.
-    pub fn observe(&mut self, a: u64, b: u64, mean_ns: f64) {
-        if !mean_ns.is_finite() || mean_ns < 0.0 {
-            return;
-        }
-        self.cells
-            .entry((a, b))
-            .and_modify(|v| *v += self.alpha * (mean_ns - *v))
-            .or_insert(mean_ns);
-    }
-
-    /// The current smoothed estimate for the `(a, b)` cell, if observed.
-    pub fn cell_ns(&self, a: u64, b: u64) -> Option<f64> {
-        self.cells.get(&(a, b)).copied()
-    }
-
-    /// Number of cells with at least one observation.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-}
-
-/// [`cell_weights`] with measured-EWMA refinement: stochastic cells whose
-/// fingerprint pair has an observed smoothed cost are priced from the
-/// measurement, everything else (deterministic cache probes, never-seen
-/// pairings) falls back to the analytic model. `fingerprints` is the dense
-/// per-group fingerprint lane aligned with `group_rep`.
-pub fn cell_weights_refined(
-    model: &CostModel,
-    game: &IpdGame,
-    strategies: &[StrategyKind],
-    group_rep: &[usize],
-    fingerprints: &[u64],
-    ewma: &MeasuredEwma,
-) -> Vec<u64> {
-    debug_assert_eq!(group_rep.len(), fingerprints.len());
-    let num_groups = group_rep.len();
-    let mut weights = Vec::with_capacity(num_groups * num_groups);
-    for (g, &gi) in group_rep.iter().enumerate() {
-        for (h, &hj) in group_rep.iter().enumerate() {
-            let a = &strategies[gi];
-            let b = &strategies[hj];
-            let analytic = pair_weight_ns(model, game, a, b);
-            let weight = if game.is_deterministic_for(a, b) {
-                analytic
-            } else {
-                match ewma.cell_ns(fingerprints[g], fingerprints[h]) {
-                    Some(ns) => (ns as u64).max(1),
-                    None => analytic,
-                }
-            };
-            weights.push(weight);
         }
     }
     weights
@@ -242,68 +149,6 @@ mod tests {
         // an existing group.
         strategies.push(strategies[0].clone());
         assert_eq!(generation_weight_ns(&model, &game, &strategies), whole);
-    }
-
-    #[test]
-    fn ewma_smooths_and_clamps() {
-        let mut ewma = MeasuredEwma::new(0.5);
-        assert!(ewma.is_empty());
-        ewma.observe(1, 2, 100.0);
-        assert_eq!(ewma.cell_ns(1, 2), Some(100.0));
-        ewma.observe(1, 2, 200.0);
-        assert_eq!(ewma.cell_ns(1, 2), Some(150.0));
-        ewma.observe(1, 2, f64::NAN); // ignored
-        ewma.observe(1, 2, -5.0); // ignored
-        assert_eq!(ewma.cell_ns(1, 2), Some(150.0));
-        assert_eq!(ewma.len(), 1);
-        // Degenerate alphas clamp into (0, 1].
-        let mut eager = MeasuredEwma::new(7.0);
-        eager.observe(3, 3, 10.0);
-        eager.observe(3, 3, 40.0);
-        assert_eq!(eager.cell_ns(3, 3), Some(40.0));
-    }
-
-    #[test]
-    fn refined_weights_reprice_only_observed_stochastic_cells() {
-        let model = CostModel::blue_gene_like();
-        let game = game(0.0);
-        let strategies = sample_strategies();
-        let group_rep = [0usize, 1, 2];
-        let fingerprints: Vec<u64> = group_rep
-            .iter()
-            .map(|&i| strategies[i].fingerprint())
-            .collect();
-        let analytic = cell_weights(&model, &game, &strategies, &group_rep);
-
-        // Empty table: refinement is a no-op.
-        let empty = MeasuredEwma::new(0.2);
-        let refined = cell_weights_refined(
-            &model,
-            &game,
-            &strategies,
-            &group_rep,
-            &fingerprints,
-            &empty,
-        );
-        assert_eq!(refined, analytic);
-
-        // Observe the (mixed, pure0) cell and a deterministic (pure0, pure1)
-        // cell: only the stochastic one repriced.
-        let mut ewma = MeasuredEwma::new(0.2);
-        ewma.observe(fingerprints[2], fingerprints[0], 123_456.0);
-        ewma.observe(fingerprints[0], fingerprints[1], 999_999.0);
-        let refined =
-            cell_weights_refined(&model, &game, &strategies, &group_rep, &fingerprints, &ewma);
-        assert_eq!(refined[2 * 3], 123_456);
-        assert_eq!(refined[1], analytic[1], "deterministic cells stay analytic");
-        // Unobserved stochastic cells keep the analytic price.
-        assert_eq!(refined[2], analytic[2]);
-        // Tiny measurements still yield schedulable (non-zero) weights.
-        let mut tiny = MeasuredEwma::new(0.2);
-        tiny.observe(fingerprints[2], fingerprints[2], 0.25);
-        let refined =
-            cell_weights_refined(&model, &game, &strategies, &group_rep, &fingerprints, &tiny);
-        assert_eq!(refined[2 * 3 + 2], 1);
     }
 
     #[test]

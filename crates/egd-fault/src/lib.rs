@@ -31,6 +31,6 @@ pub mod switch;
 pub use checkpoint::{CheckpointStore, DirStore, MemoryStore};
 pub use plan::{FaultEvent, FaultPlan};
 pub use switch::{
-    arm, crash_fault, fired_count, fired_events, injection_armed, injection_report, message_fate,
+    arm, crash_fault, injection_armed, injection_report, injection_report_in, message_fate,
     note_stale_rejected, slow_fault, FiredFault, InjectionReport, InjectionSession, MessageFate,
 };

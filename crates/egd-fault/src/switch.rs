@@ -247,10 +247,12 @@ pub fn slow_fault(domain: u64, rank: usize, generation: u64) -> Option<(usize, u
 }
 
 /// Counts a stale packet the transport rejected (epoch mismatch after a
-/// recovery respawn).
-pub fn note_stale_rejected() {
+/// recovery respawn). `domain` scopes the count as in [`message_fate`].
+pub fn note_stale_rejected(domain: u64) {
     if let Some(state) = lock_active().as_mut() {
-        state.report.stale_rejected += 1;
+        if state.plan.seed == domain {
+            state.report.stale_rejected += 1;
+        }
     }
 }
 
@@ -263,17 +265,14 @@ pub fn injection_report() -> InjectionReport {
         .unwrap_or_default()
 }
 
-/// Number of faults fired so far — a cheap progress mark for supervisors
-/// classifying what happened between two points in time.
-pub fn fired_count() -> usize {
-    lock_active().as_ref().map_or(0, |s| s.report.fired.len())
-}
-
-/// The fired-event log so far, in firing order.
-pub fn fired_events() -> Vec<FiredFault> {
+/// [`injection_report`] scoped to one fault domain as in [`message_fate`]:
+/// empty unless the armed plan's seed equals `domain`, so a supervisor
+/// never counts faults that a concurrent session fired in another world.
+pub fn injection_report_in(domain: u64) -> InjectionReport {
     lock_active()
         .as_ref()
-        .map(|s| s.report.fired.clone())
+        .filter(|s| s.plan.seed == domain)
+        .map(|s| s.report.clone())
         .unwrap_or_default()
 }
 
@@ -335,7 +334,8 @@ mod tests {
         assert_eq!(crash_fault(1, 3, 4), None);
         assert_eq!(slow_fault(1, 0, 2), Some((3, 7)));
         assert_eq!(slow_fault(1, 0, 2), None);
-        note_stale_rejected();
+        note_stale_rejected(99); // another domain's straggler: not counted
+        note_stale_rejected(1);
 
         let report = injection_report();
         assert_eq!(report.drops, 1);
@@ -344,11 +344,13 @@ mod tests {
         assert_eq!(report.stalls, 1);
         assert_eq!(report.stale_rejected, 1);
         assert_eq!(report.fired.len(), 4);
-        assert_eq!(fired_count(), 4);
         // Firing order: drop (event 0), delay (event 2), crash (event 1),
         // slow (event 3).
-        let order: Vec<usize> = fired_events().iter().map(|f| f.event).collect();
+        let order: Vec<usize> = report.fired.iter().map(|f| f.event).collect();
         assert_eq!(order, vec![0, 2, 1, 3]);
+        // The domain-scoped view sees the plan's own domain only.
+        assert_eq!(injection_report_in(1), report);
+        assert_eq!(injection_report_in(99), InjectionReport::default());
 
         drop(session);
         assert!(!injection_armed());
@@ -356,6 +358,6 @@ mod tests {
         assert_eq!(message_fate(1, 0, 1), MessageFate::Deliver);
         assert_eq!(crash_fault(1, 3, 5), None);
         assert_eq!(slow_fault(1, 0, 2), None);
-        assert_eq!(fired_count(), 0);
+        assert_eq!(injection_report_in(1), InjectionReport::default());
     }
 }

@@ -10,8 +10,6 @@
 //!   worker stats, collective traffic, rank timings and per-generation
 //!   engine counters in one mergeable, serde-serialisable record with
 //!   deterministic field order.
-//! * [`costs`] — [`MeasuredCosts`], measured per-fingerprint-pair cell
-//!   costs, the feedback table the `egd-cost` predictor can consume.
 //! * [`export`] — Chrome trace-event / Perfetto JSON timelines (for both
 //!   real runs and virtual-time replays), a JSON validator, and the
 //!   markdown metrics summary used by `bench_diff --summary-md`.
@@ -23,26 +21,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod costs;
 pub mod export;
 pub mod metrics;
 pub mod span;
 
-pub use costs::{CostSample, MeasuredCosts};
 pub use export::{
     chrome_trace_json, summary_table_md, validate_trace_json, ExportOptions, TraceProcess,
 };
 pub use metrics::{GenerationMetrics, MetricsSnapshot, RunInfo, TrafficMetrics, WorkerMetrics};
 pub use span::{
     collect, disable_tracing, enable_tracing, enable_tracing_sampled, flush_thread, now_ns,
-    record_span, set_track, tracing_enabled, SpanEvent, SpanKind, SpanTimer, TraceLog, MAX_EVENTS,
+    record_span, set_track, tracing_enabled, SpanEvent, SpanKind, SpanTimer, TraceLog,
+    TraceSession, MAX_EVENTS,
 };
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serialises trace sessions. The span collector is process-global, so
-/// concurrent sessions — parallel `#[test]`s most of all — would interleave
-/// their events; hold this guard around `enable_tracing` … `collect`.
+/// Serialises trace sessions. The span collector is process-global, so a
+/// second traced session — a parallel `#[test]` most of all — would restart
+/// the first; hold this guard around `enable_tracing` … `collect`. Untraced
+/// workloads need no guard: their threads are not enrolled in the session
+/// and record nothing.
 pub fn session_guard() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))

@@ -14,6 +14,13 @@
 //! run-to-run) and bumps the session epoch that invalidates stale
 //! thread-local buffers. [`collect`] drains the session into a [`TraceLog`].
 //!
+//! A session records only from the threads enrolled in it: the thread that
+//! called [`enable_tracing`], plus the workers it spawns, which the spawn
+//! sites enrol by handing over [`TraceSession::current`]. Spans from any
+//! other thread — an untraced workload running at the same time in the
+//! same process — are dropped at record time instead of leaking into the
+//! session.
+//!
 //! With the `trace` cargo feature disabled the recording path compiles out
 //! entirely: [`tracing_enabled`] is a constant `false`, so `SpanTimer::start`
 //! folds to `None` and `obs_span!` leaves only the wrapped body.
@@ -162,7 +169,8 @@ pub fn tracing_enabled() -> bool {
 }
 
 /// Starts a fresh trace session recording every span (sampling mask 0):
-/// clears previously collected events and restarts span-id assignment.
+/// clears previously collected events, restarts span-id assignment and
+/// enrols the calling thread in the session.
 pub fn enable_tracing() {
     enable_tracing_sampled(0);
 }
@@ -176,7 +184,8 @@ pub fn enable_tracing_sampled(shift: u32) {
     } else {
         (1u64 << shift) - 1
     };
-    EPOCH.fetch_add(1, Ordering::Relaxed);
+    let epoch = EPOCH.fetch_add(1, Ordering::Relaxed) + 1;
+    TraceSession(epoch).enter();
     NEXT_SPAN_ID.store(0, Ordering::Relaxed);
     DROPPED.store(0, Ordering::Relaxed);
     COLLECTOR.lock().expect("trace collector poisoned").clear();
@@ -209,6 +218,26 @@ pub fn flush_thread() {
     LOCAL.with(|local| local.borrow_mut().flush());
 }
 
+/// The trace session a thread records into. Spawn sites capture the
+/// spawner's [`TraceSession::current`] and [`enter`](TraceSession::enter)
+/// it on each worker, so the workers of a traced run join its session and
+/// the workers of an untraced run record nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceSession(u64);
+
+impl TraceSession {
+    /// The calling thread's session. A thread that was never enrolled gets
+    /// one that matches no live session.
+    pub fn current() -> TraceSession {
+        LOCAL.with(|local| TraceSession(local.borrow().session))
+    }
+
+    /// Enrols the calling thread in this session.
+    pub fn enter(self) {
+        LOCAL.with(|local| local.borrow_mut().session = self.0);
+    }
+}
+
 /// Assigns the calling thread's timeline track (worker id, rank, ...).
 /// Until set, threads record on track 0.
 pub fn set_track(track: u32) {
@@ -217,6 +246,8 @@ pub fn set_track(track: u32) {
 
 struct LocalBuf {
     epoch: u64,
+    /// The session epoch this thread is enrolled in (0: none).
+    session: u64,
     track: u32,
     seq: u64,
     attempts: u64,
@@ -227,6 +258,7 @@ impl LocalBuf {
     const fn new() -> Self {
         LocalBuf {
             epoch: 0,
+            session: 0,
             track: 0,
             seq: 0,
             attempts: 0,
@@ -254,6 +286,10 @@ impl LocalBuf {
         end_ns: u64,
     ) {
         self.refresh_epoch();
+        if self.session != self.epoch {
+            // Not enrolled in the live session: another workload's thread.
+            return;
+        }
         let mask = STATE.load(Ordering::Relaxed) >> 8;
         let sampled = self.attempts & mask == 0;
         self.attempts = self.attempts.wrapping_add(1);
@@ -343,14 +379,6 @@ impl SpanTimer {
             kind,
             start_ns: now_ns(),
         })
-    }
-
-    /// The span's start timestamp — for callers that also accumulate the
-    /// measured duration elsewhere (e.g. a cost table) without a second
-    /// clock read before the work starts.
-    #[inline]
-    pub fn start_ns(&self) -> u64 {
-        self.start_ns
     }
 
     /// Ends the span and records it with `payload`.

@@ -282,18 +282,6 @@ impl ConcurrentPairEvaluator {
         self.interner.compiled_for(generation, strategy)
     }
 
-    /// The interned dense pair table for `(a, b)` in `generation` — the unit
-    /// the batched stochastic kernel copies lanes from (see
-    /// [`CompiledInterner::pair_table_for`]).
-    pub fn pair_table_for(
-        &self,
-        generation: u64,
-        a: &StrategyKind,
-        b: &StrategyKind,
-    ) -> Arc<egd_core::game::CompiledPairTable> {
-        self.interner.pair_table_for(generation, a, b)
-    }
-
     /// Pre-compiles the distinct strategies of a generation (one per group
     /// representative) so the parallel section only takes read locks. Call
     /// before fanning out when stochastic games will be played; harmless

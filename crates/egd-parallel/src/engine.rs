@@ -1,32 +1,21 @@
 //! The parallel generation engine.
 //!
-//! [`ParallelEngine`] computes the per-SSet fitness of one generation on a
-//! rayon thread pool. Two equivalent execution paths are provided:
-//!
-//! * [`ParallelEngine::compute_fitness`] — the production path. Strategies
-//!   are grouped (SSets holding identical strategies share their pair
-//!   payoffs) and the distinct-pair payoff matrix is evaluated in parallel.
-//!   This matches `egd_core::simulation::compute_generation_fitness`
-//!   bit-for-bit, so sequential and parallel runs are interchangeable.
-//! * [`ParallelEngine::compute_fitness_via_plan`] — the paper-faithful
-//!   agent-level path: every agent's chunk of opponent games is an
-//!   independent work item ([`crate::partition::WorkPlan`]), partial fitness
-//!   sums are reduced per worker in fixed order. Used by the ablation
-//!   benchmarks that quantify what the SSet grouping buys.
+//! [`ParallelEngine::compute_fitness`] computes the per-SSet fitness of one
+//! generation on a rayon thread pool. Strategies are grouped (SSets holding
+//! identical strategies share their pair payoffs, the paper's §IV SSet
+//! abstraction) and the distinct-pair payoff matrix is evaluated in
+//! parallel. This matches `egd_core::simulation::compute_generation_fitness`
+//! bit-for-bit, so sequential and parallel runs are interchangeable.
 
 use crate::cache::ConcurrentPairEvaluator;
-use crate::partition::WorkPlan;
-use crate::reduction::reduce_partials;
 use crate::soa::PopulationSoA;
-use crate::stochastic::{StochasticBlock, StochasticScratch};
 use crate::thread_pool::ThreadConfig;
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
 use egd_core::population::Population;
 use egd_core::simulation::FitnessMode;
 use egd_core::sset::OpponentPolicy;
-use egd_cost::predict::MeasuredEwma;
-use egd_obs::{MeasuredCosts, MetricsSnapshot, SpanKind, SpanTimer};
+use egd_obs::{MetricsSnapshot, SpanKind};
 use egd_sched::SchedStats;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -58,20 +47,6 @@ impl GenerationTiming {
     }
 }
 
-/// Per-worker reusable buffers for the agent-plan fitness path: the
-/// stochastic game scratch plus the block bookkeeping vectors.
-#[derive(Debug, Default)]
-struct PlanScratch {
-    /// `(position in block, opponent index)` of each stochastic pairing.
-    stochastic: Vec<(usize, usize)>,
-    /// Opponent indices handed to the block kernel.
-    opp_indices: Vec<usize>,
-    /// Per-opponent payoffs in block order (cacheable + stochastic merged).
-    to_me: Vec<f64>,
-    /// SoA result buffers of the stochastic block kernel.
-    games: StochasticScratch,
-}
-
 /// The parallel fitness engine.
 #[derive(Debug)]
 pub struct ParallelEngine {
@@ -83,15 +58,6 @@ pub struct ParallelEngine {
     cost_model: egd_cost::CostModel,
     /// Scheduler statistics of the most recent fitness computation.
     last_sched: Mutex<Option<SchedStats>>,
-    /// Measured per-cell wall time keyed by fingerprint pair, accumulated
-    /// while tracing is enabled (the feedback table the cost layer can
-    /// calibrate against).
-    measured: Mutex<MeasuredCosts>,
-    /// Optional measured-cost repricing (off by default): when set, the
-    /// measured means are folded into this EWMA at the start of every
-    /// fitness call and seed the stochastic cell weights of the cost-guided
-    /// partition. Steers only the schedule, never the results.
-    repricing: Mutex<Option<MeasuredEwma>>,
 }
 
 impl ParallelEngine {
@@ -107,31 +73,7 @@ impl ParallelEngine {
             threads,
             cost_model: egd_cost::CostModel::blue_gene_like(),
             last_sched: Mutex::new(None),
-            measured: Mutex::new(MeasuredCosts::default()),
-            repricing: Mutex::new(None),
         })
-    }
-
-    /// Enables measured-cost repricing with smoothing factor `alpha`: cell
-    /// means accumulated while tracing (see
-    /// [`ParallelEngine::measured_costs`]) are folded into an EWMA before
-    /// each fitness call and replace the analytic prices of *observed
-    /// stochastic* cells in the cost-guided partition. Off by default.
-    /// Repricing can never change fitness — predictions steer only the
-    /// schedule, and results flow through the deterministic reduction.
-    pub fn enable_measured_repricing(&self, alpha: f64) {
-        *self.repricing.lock() = Some(MeasuredEwma::new(alpha));
-    }
-
-    /// Disables measured-cost repricing and drops the EWMA table.
-    pub fn disable_measured_repricing(&self) {
-        *self.repricing.lock() = None;
-    }
-
-    /// Number of cells currently repriced from measurements (0 while the
-    /// flag is off or before anything has been measured).
-    pub fn repriced_cells(&self) -> usize {
-        self.repricing.lock().as_ref().map_or(0, MeasuredEwma::len)
     }
 
     /// The cost model pricing the engine's initial partitions.
@@ -155,19 +97,6 @@ impl ParallelEngine {
         self.last_sched.lock().clone()
     }
 
-    /// Measured per-cell wall time keyed by `(fingerprint_a, fingerprint_b)`,
-    /// accumulated across fitness calls while span tracing is enabled. Empty
-    /// when tracing never ran. The cost layer can calibrate its predicted
-    /// cell weights against these means.
-    pub fn measured_costs(&self) -> MeasuredCosts {
-        self.measured.lock().clone()
-    }
-
-    /// Takes (and clears) the accumulated measured-cost table.
-    pub fn take_measured_costs(&self) -> MeasuredCosts {
-        std::mem::take(&mut *self.measured.lock())
-    }
-
     /// The engine's unified metrics snapshot: the scheduler worker table of
     /// the most recent fitness computation plus pair-cache and interner
     /// counters.
@@ -187,10 +116,6 @@ impl ParallelEngine {
             self.evaluator.interned_strategies() as u64,
         );
         snap.add_counter("strategy_compiles", self.evaluator.strategy_compiles());
-        snap.add_counter(
-            "measured_cost_samples",
-            self.measured.lock().total_samples(),
-        );
         snap
     }
 
@@ -245,56 +170,26 @@ impl ParallelEngine {
         // per-worker segments are seeded from the cost-proportional
         // partition (cached pairs priced as probes, stochastic pairs as full
         // games), so both the static and the adaptive policy start balanced
-        // and stealing only corrects prediction error. With repricing
-        // enabled, measured means from earlier generations replace the
-        // analytic prices of observed stochastic cells.
-        let weights = {
-            let mut repricing = self.repricing.lock();
-            match repricing.as_mut() {
-                Some(ewma) => {
-                    for ((a, b), mean) in self.measured.lock().mean_iter() {
-                        ewma.observe(a, b, mean);
-                    }
-                    egd_cost::predict::cell_weights_refined(
-                        &self.cost_model,
-                        self.evaluator.game(),
-                        strategies,
-                        &soa.group_rep,
-                        &ctx.fingerprints,
-                        ewma,
-                    )
-                }
-                None => egd_cost::predict::cell_weights(
-                    &self.cost_model,
-                    self.evaluator.game(),
-                    strategies,
-                    &soa.group_rep,
-                ),
-            }
-        };
+        // and stealing only corrects prediction error.
+        let weights = egd_cost::predict::cell_weights(
+            &self.cost_model,
+            self.evaluator.game(),
+            strategies,
+            &soa.group_rep,
+        );
         let evaluator = &self.evaluator;
         let ctx_ref = &ctx;
         let group_rep_ref = &soa.group_rep;
-        let measured = &self.measured;
         let pay: Vec<f64> = self.install(|| {
             egd_obs::obs_span!(SpanKind::CellMatrix, (num_groups * num_groups) as u64, {
                 egd_sched::map_indexed_weighted(self.threads.effective_threads(), &weights, |idx| {
                     let g = idx / num_groups;
                     let h = idx % num_groups;
-                    let span = SpanTimer::start(SpanKind::Cell);
-                    let cell = evaluator
-                        .cell_payoff(ctx_ref, strategies, group_rep_ref, g, h, generation)
-                        .map(|(to_g, _)| to_g);
-                    if let Some(span) = span {
-                        let elapsed = egd_obs::now_ns().saturating_sub(span.start_ns());
-                        measured.lock().record(
-                            ctx_ref.fingerprints[g],
-                            ctx_ref.fingerprints[h],
-                            elapsed,
-                        );
-                        span.finish(idx as u64);
-                    }
-                    cell
+                    egd_obs::obs_span!(SpanKind::Cell, idx as u64, {
+                        evaluator
+                            .cell_payoff(ctx_ref, strategies, group_rep_ref, g, h, generation)
+                            .map(|(to_g, _)| to_g)
+                    })
                 })
                 .into_iter()
                 .collect::<EgdResult<Vec<f64>>>()
@@ -310,98 +205,6 @@ impl ParallelEngine {
         // loop, each group's sum computed once instead of once per member.
         let lanes = soa.group_fitness(&pay, include_self);
         Ok(soa.scatter(&lanes))
-    }
-
-    /// Computes the fitness via the explicit agent-level work plan: every
-    /// agent's chunk of games is an independent task, partial sums are
-    /// reduced in worker order. Matches [`ParallelEngine::compute_fitness`]
-    /// for deterministic and expected-value games.
-    pub fn compute_fitness_via_plan(
-        &self,
-        population: &Population,
-        plan: &WorkPlan,
-        generation: u64,
-    ) -> EgdResult<Vec<f64>> {
-        self.reset_sched_stats();
-        let n = population.num_ssets();
-        let strategies = population.strategies();
-        let evaluator = &self.evaluator;
-
-        // Per-worker reusable buffers: one stochastic scratch plus the
-        // block's bookkeeping vectors, so the hot per-item closure performs
-        // no allocations after warm-up.
-        thread_local! {
-            static PLAN_SCRATCH: std::cell::RefCell<PlanScratch> =
-                std::cell::RefCell::new(PlanScratch::default());
-        }
-
-        let simulated = self.evaluator.mode() == FitnessMode::Simulated;
-        // Seed the initial per-worker segments from the plan's predicted
-        // item costs — same two-level contract as the grouped path.
-        let weights = plan.predicted_weights(population, self.evaluator.game(), &self.cost_model);
-        let items = plan.items();
-        let partials: Vec<Vec<f64>> = self.install(|| {
-            let section = SpanTimer::start(SpanKind::CellMatrix);
-            let out = egd_sched::map_indexed_weighted(
-                self.threads.effective_threads(),
-                &weights,
-                |idx| {
-                    let item = &items[idx];
-                    {
-                        PLAN_SCRATCH.with(|cell| {
-                            let scratch = &mut *cell.borrow_mut();
-                            let mut partial = vec![0.0; n];
-                            let me = &strategies[item.sset];
-                            let opponents = population.opponents_of(item.sset);
-                            let block = &opponents[item.opponent_range.clone()];
-                            // Cacheable pairings go through the payoff cache; the
-                            // stochastic remainder of the block is batch-played
-                            // on the compiled kernel with amortised substream
-                            // setup. `to_me[k]` keeps the per-opponent payoffs so
-                            // the final accumulation runs in opponent order — the
-                            // same f64 summation order as a per-pair loop.
-                            scratch.stochastic.clear();
-                            scratch.to_me.clear();
-                            scratch.to_me.resize(block.len(), 0.0);
-                            for (k, &opp) in block.iter().enumerate() {
-                                let b = &strategies[opp];
-                                if simulated && !evaluator.game().is_deterministic_for(me, b) {
-                                    scratch.stochastic.push((k, opp));
-                                } else {
-                                    let (to_me, _) =
-                                        evaluator.pair_payoff(item.sset, me, opp, b, generation)?;
-                                    scratch.to_me[k] = to_me;
-                                }
-                            }
-                            if !scratch.stochastic.is_empty() {
-                                scratch.opp_indices.clear();
-                                scratch
-                                    .opp_indices
-                                    .extend(scratch.stochastic.iter().map(|&(_, opp)| opp));
-                                StochasticBlock::new(evaluator).play_indexed(
-                                    item.sset,
-                                    me,
-                                    &scratch.opp_indices,
-                                    strategies,
-                                    generation,
-                                    &mut scratch.games,
-                                )?;
-                                for (slot, &(k, _)) in scratch.stochastic.iter().enumerate() {
-                                    scratch.to_me[k] = scratch.games.fitness_a[slot];
-                                }
-                            }
-                            partial[item.sset] = scratch.to_me.iter().sum::<f64>();
-                            Ok(partial)
-                        })
-                    }
-                },
-            );
-            if let Some(section) = section {
-                section.finish(items.len() as u64);
-            }
-            out.into_iter().collect::<EgdResult<Vec<Vec<f64>>>>()
-        })?;
-        Ok(reduce_partials(&partials, n))
     }
 }
 
@@ -458,43 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_path_matches_grouped_path_for_deterministic_games() {
-        let cfg = config(0.0, 11);
-        let population = cfg.initial_population().unwrap();
-        let engine =
-            ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
-                .unwrap();
-        let plan = WorkPlan::for_population(&population);
-        let grouped = engine.compute_fitness(&population, 0).unwrap();
-        let planned = engine
-            .compute_fitness_via_plan(&population, &plan, 0)
-            .unwrap();
-        for (g, p) in grouped.iter().zip(&planned) {
-            assert!((g - p).abs() < 1e-9, "grouped {g} vs planned {p}");
-        }
-    }
-
-    #[test]
-    fn expected_value_mode_agrees_across_paths_under_noise() {
-        let cfg = config(0.05, 13);
-        let population = cfg.initial_population().unwrap();
-        let engine = ParallelEngine::new(
-            &cfg,
-            FitnessMode::ExpectedValue,
-            ThreadConfig::with_threads(2),
-        )
-        .unwrap();
-        let plan = WorkPlan::for_population(&population);
-        let grouped = engine.compute_fitness(&population, 0).unwrap();
-        let planned = engine
-            .compute_fitness_via_plan(&population, &plan, 0)
-            .unwrap();
-        for (g, p) in grouped.iter().zip(&planned) {
-            assert!((g - p).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn timing_merge_and_total() {
         let mut a = GenerationTiming {
             game_play: Duration::from_millis(10),
@@ -546,7 +312,6 @@ mod tests {
         let engine =
             ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(2))
                 .unwrap();
-        assert!(engine.measured_costs().is_empty(), "nothing before tracing");
         egd_obs::enable_tracing();
         engine.compute_fitness(&population, 0).unwrap();
         egd_obs::disable_tracing();
@@ -565,48 +330,6 @@ mod tests {
             .events
             .iter()
             .any(|e| e.kind == egd_obs::SpanKind::CellMatrix));
-
-        // Every cell's wall time landed in the fingerprint-keyed cost table.
-        let costs = engine.measured_costs();
-        assert_eq!(costs.total_samples(), (num_groups * num_groups) as u64);
-        let fps: Vec<u64> = StrategyGrouping::of(population.strategies())
-            .group_rep
-            .iter()
-            .map(|&i| population.strategies()[i].fingerprint())
-            .collect();
-        assert!(costs.mean_ns(fps[0], fps[0]).is_some());
-        assert!(engine.take_measured_costs().total_samples() > 0);
-        assert!(engine.measured_costs().is_empty(), "take clears the table");
-    }
-
-    #[test]
-    fn measured_repricing_keeps_results_and_seeds_weights() {
-        let _guard = egd_obs::session_guard();
-        let cfg = config(0.05, 27); // noise: every cell is stochastic
-        let population = cfg.initial_population().unwrap();
-        let plain =
-            ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
-                .unwrap();
-        let repriced =
-            ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
-                .unwrap();
-        repriced.enable_measured_repricing(0.3);
-        assert_eq!(repriced.repriced_cells(), 0, "no measurements yet");
-        egd_obs::enable_tracing();
-        for generation in 0..3 {
-            let a = plain.compute_fitness(&population, generation).unwrap();
-            let b = repriced.compute_fitness(&population, generation).unwrap();
-            assert_eq!(a, b, "repricing must not change fitness");
-        }
-        egd_obs::disable_tracing();
-        // Generations 1+ fed generation-0 measurements into the EWMA.
-        assert!(
-            repriced.repriced_cells() > 0,
-            "EWMA seeded from measurements"
-        );
-        assert!(!repriced.measured_costs().is_empty());
-        repriced.disable_measured_repricing();
-        assert_eq!(repriced.repriced_cells(), 0);
     }
 
     #[test]

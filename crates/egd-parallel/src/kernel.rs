@@ -66,12 +66,12 @@ impl KernelVariant {
 /// Calibrates the compute coefficients of a [`egd_cost::CostModel`] by
 /// timing the real kernels on the host machine (memory-one and memory-four
 /// games). Stochastic full-game work — what `round_base_us` and
-/// `round_per_state_bit_us` price — now runs through the lane-parallel
-/// batched kernel ([`egd_core::game::IpdGame::play_batched`]), so those
-/// coefficients are fitted from batched mixed-strategy games at the
-/// engines' common lane width rather than from the one-game-at-a-time pure
-/// kernel. The naive-scan penalty still comes from the Naive-vs-Indexed
-/// pure-kernel gap (the ladder's "Original" rung has no batched form).
+/// `round_per_state_bit_us` price — is fitted from mixed-strategy games on
+/// the lane-parallel batched kernel
+/// ([`egd_core::game::IpdGame::play_batched`]) at its widest lane chunk
+/// rather than from the one-game-at-a-time pure kernel. The naive-scan
+/// penalty still comes from the Naive-vs-Indexed pure-kernel gap (the
+/// ladder's "Original" rung has no batched form).
 /// Communication coefficients keep their Blue Gene-like defaults because
 /// the host has no torus to measure.
 pub fn calibrated_cost_model() -> egd_cost::CostModel {
@@ -83,7 +83,7 @@ pub fn calibrated_cost_model() -> egd_cost::CostModel {
     let rounds = 200u32;
 
     // Amortised µs per stochastic game through the batched kernel at the
-    // widest lane chunk — the shape the engines' stochastic blocks run at.
+    // widest lane chunk.
     let time_batched = |memory: MemoryDepth| -> f64 {
         const LANES: usize = BatchedDraws::MAX_WIDTH;
         let game = IpdGame::new(memory, rounds, PayoffMatrix::PAPER, 0.0)

@@ -1,13 +1,15 @@
 //! # egd-parallel
 //!
 //! Shared-memory parallel execution engine for evolutionary game dynamics,
-//! implementing the paper's *multi-level decomposition* (§IV–V):
+//! implementing the paper's *multi-level decomposition* (§IV–V) on threads:
 //!
-//! * the population's SSets are divided into chunks of work (the role MPI
-//!   ranks play on Blue Gene — here they map onto worker threads), and
-//! * within each SSet the games against the assigned opponent strategies are
-//!   played concurrently by the threads of a [rayon] pool, mirroring the
-//!   paper's OpenMP level.
+//! * SSets holding the same strategy share their pair payoffs (the paper's
+//!   SSet abstraction), so [`ParallelEngine::compute_fitness`] evaluates
+//!   one distinct-pair payoff matrix per generation instead of every SSet
+//!   pair, and
+//! * the matrix cells are spread over the threads of a [rayon] pool,
+//!   mirroring the paper's OpenMP level. [`SSetPartition`] is the
+//!   SSets-across-processors level that `egd-cluster` assigns to ranks.
 //!
 //! The engine produces *bit-identical* populations to the sequential
 //! reference in `egd-core` for any thread count: all randomness is drawn from
@@ -35,10 +37,8 @@ pub mod grouping;
 pub mod intern;
 pub mod kernel;
 pub mod partition;
-pub mod reduction;
 pub mod simulation;
 pub mod soa;
-pub mod stochastic;
 pub mod thread_pool;
 
 pub use cache::ConcurrentPairEvaluator;
@@ -46,10 +46,9 @@ pub use engine::{GenerationTiming, ParallelEngine};
 pub use grouping::StrategyGrouping;
 pub use intern::{CompiledInterner, FingerprintBuildHasher, FingerprintMap};
 pub use kernel::{calibrated_cost_model, GameKernel, KernelVariant};
-pub use partition::{SSetPartition, WorkItem, WorkPlan};
+pub use partition::SSetPartition;
 pub use simulation::{ParallelReport, ParallelSimulation};
 pub use soa::PopulationSoA;
-pub use stochastic::{StochasticBlock, StochasticScratch};
 pub use thread_pool::{SchedPolicy, ThreadConfig};
 
 pub use egd_sched::{SchedStats, WorkerStats};

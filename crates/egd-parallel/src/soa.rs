@@ -9,7 +9,7 @@
 //! fingerprints, determinism flags) so the engine streams:
 //!
 //! * the cell loop reads group fingerprints from a dense `u64` lane (the
-//!   measured-cost table and the payoff-cache keys want exactly those), and
+//!   payoff-cache keys want exactly those), and
 //! * the fitness reduction accumulates **per-group** fitness lanes in one
 //!   `O(G²)` sweep over the payoff matrix, then scatters them to SSets
 //!   through the `group_of` lane in `O(N)`.

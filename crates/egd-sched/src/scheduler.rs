@@ -108,10 +108,14 @@ where
     };
 
     let shared_ref = &shared;
+    // Workers join the caller's trace session, so only a traced caller's
+    // blocks reach the trace log.
+    let session = egd_obs::TraceSession::current();
     let per_worker: Vec<WorkerOutput<R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..effective)
             .map(|id| {
                 scope.spawn(move || {
+                    session.enter();
                     let out = worker_loop(id, shared_ref, f, policy, max_block);
                     // Flush spans before the scope join unblocks: thread-local
                     // destructors may run after it, racing egd_obs::collect().
@@ -529,6 +533,54 @@ mod tests {
         assert_eq!(steals, stats.steals, "one span per successful steal");
         assert_eq!(reduces, 1, "one reduction span per run");
         assert!(blocks.iter().all(|e| e.end_ns >= e.start_ns));
+    }
+
+    #[test]
+    fn untraced_run_never_reaches_a_concurrent_trace_session() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        const TRACED: usize = 64;
+        let _session = egd_obs::session_guard();
+        egd_obs::enable_tracing();
+        let stop = AtomicBool::new(false);
+        let untraced_runs = AtomicUsize::new(0);
+        let log = std::thread::scope(|scope| {
+            // An untraced workload on its own thread, running throughout the
+            // session: its blocks start at indices the traced run never has.
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let got = map_indexed(2, 1000, |i| i as u64);
+                    assert_eq!(got.len(), 1000);
+                    untraced_runs.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            while untraced_runs.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            let got = map_indexed(2, TRACED, |i| i as u64);
+            assert_eq!(got.len(), TRACED);
+            stop.store(true, Ordering::Relaxed);
+            egd_obs::disable_tracing();
+            egd_obs::collect()
+        });
+        let stats = take_last_run_stats().unwrap();
+        let blocks: Vec<u64> = log
+            .events
+            .iter()
+            .filter(|e| e.kind == egd_obs::SpanKind::BlockClaim)
+            .map(|e| e.payload)
+            .collect();
+        assert!(
+            blocks.iter().all(|&first| first < TRACED as u64),
+            "untraced blocks leaked into the session: {blocks:?}"
+        );
+        let claimed: u64 = stats.workers.iter().map(|w| w.blocks).sum();
+        assert_eq!(blocks.len() as u64, claimed, "one span per traced block");
+        let reduces = log
+            .events
+            .iter()
+            .filter(|e| e.kind == egd_obs::SpanKind::Reduce)
+            .count();
+        assert_eq!(reduces, 1, "only the traced run's reduction");
     }
 
     #[test]
